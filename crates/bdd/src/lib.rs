@@ -15,9 +15,10 @@
 //!
 //! The store is **thread-safe**: managers clone cheaply (`Arc`), handles
 //! are `Send + Sync`, and the unique table and op caches are sharded
-//! behind fine-grained locks so the parallel Phase-1 worklist and the
-//! server's shared per-program BDD space can build formulas
-//! concurrently. See `manager` module docs and DESIGN.md §12.
+//! behind fine-grained locks so the sessions sharing the server's
+//! per-program BDD space and the `map_shards` workers reading shared
+//! diagrams can run concurrently. See `manager` module docs and
+//! DESIGN.md §12.
 //!
 //! # Example
 //!

@@ -9,9 +9,8 @@
 //! agree on node identity — racing threads interning the same
 //! `(var, low, high)` triple observe one node.
 //!
-//! The concurrency design (sharding, lock ordering, the determinism
-//! argument for the parallel solver built on top) is documented in
-//! DESIGN.md §12. The short version:
+//! The concurrency design (sharding, lock ordering, and why the store
+//! stays thread-safe) is documented in DESIGN.md §12. The short version:
 //!
 //! * Nodes hash to one of [`SHARDS`] shards. Each shard owns a mutex
 //!   over its slice of the unique table plus an append-only chunked
@@ -61,9 +60,10 @@ const TERMINAL_VAR: u32 = u32::MAX;
 /// log2 of the shard count.
 const SHARD_BITS: u32 = 4;
 /// Number of unique-table/op-cache shards. A power of two; 16 keeps
-/// contention low for the solver's worker-thread counts (≤ 8 by
-/// default) while the per-manager footprint stays small — fuzzing
-/// creates thousands of short-lived managers.
+/// contention low for the threads that share one manager (server
+/// sessions over one program, sharded Datalog evaluation) while the
+/// per-manager footprint stays small — fuzzing creates thousands of
+/// short-lived managers.
 const SHARDS: usize = 1 << SHARD_BITS;
 
 /// Shard an interior node id belongs to, and its index in that shard's
@@ -804,11 +804,6 @@ impl BddManager {
         self.store.var_names.read().expect("var_names lock").len()
     }
 
-    /// The name a variable was declared with.
-    pub fn var_name(&self, var: VarId) -> String {
-        self.store.var_names.read().expect("var_names lock")[var.0 as usize].clone()
-    }
-
     /// The constant `true` formula.
     pub fn top(&self) -> Bdd {
         self.wrap(TRUE_ID)
@@ -1269,9 +1264,8 @@ impl Bdd {
     /// output size can be exponential in the diagram size.
     ///
     /// The rendering walks the diagram in variable order, so it depends
-    /// only on the Boolean function — not on node ids or on how many
-    /// threads built the diagram. This is what makes solve outputs
-    /// byte-identical across `--threads` settings.
+    /// only on the Boolean function — not on node ids or on which
+    /// threads built the diagram.
     pub fn to_cube_string(&self) -> String {
         if self.is_true() {
             return "true".into();

@@ -52,15 +52,12 @@
 //! validator rejects anything else outside that vocabulary.
 //!
 //! v3 turned the single wall-clock measurement into a **threads
-//! dimension**: each entry is benched per phase-1 worker count (the
-//! solver's `--threads`), one cell per count, carrying that cell's
-//! wall-clock stats and a `results_digest` over the canonically
-//! rendered solution. The validator requires every cell of an entry to
-//! carry the *same* digest — the determinism contract (results are
-//! byte-identical at every thread count) is checked on every committed
-//! document, not just in the test battery. The `ide` counters are
-//! taken from the sequential cell: scheduling counters are only
-//! deterministic at one thread.
+//! array** of cells, each carrying wall-clock stats and a
+//! `results_digest` over the canonically rendered solution. The solver
+//! is now sequential and `solver_bench` emits one `threads == 1` cell
+//! per entry; the array stays so the document shape is unchanged. The
+//! validator still requires every cell of an entry to carry the *same*
+//! digest, for documents with more than one cell.
 //!
 //! v4 (and server v2) made the documents **comparable across runs** for
 //! the regression gate (`crate::regress`): a top-level `machine` block
@@ -139,7 +136,8 @@ pub struct Provenance {
     pub bin: String,
     /// The `--subjects` list as given.
     pub subjects: String,
-    /// The `--threads` list as given.
+    /// The thread counts measured; `"1"` for every document the
+    /// sequential solver emits.
     pub threads: String,
 }
 
@@ -293,10 +291,10 @@ pub fn validate_server_bench(text: &str) -> Result<usize, String> {
     Ok(levels.len())
 }
 
-/// One thread-count cell of a [`SolverBenchEntry`]: the wall-clock
-/// stats of solving with `threads` phase-1 workers, plus the digest of
-/// the canonically rendered solution (identical across an entry's
-/// cells, or the validator rejects the document).
+/// One cell of a [`SolverBenchEntry`]: the wall-clock stats of the
+/// solve, plus the digest of the canonically rendered solution
+/// (identical across an entry's cells, or the validator rejects the
+/// document).
 #[derive(Debug, Clone)]
 pub struct ThreadCell {
     /// Phase-1 worker threads this cell was benched at.
@@ -320,12 +318,12 @@ pub struct SolverBenchEntry {
     /// Abstraction-ladder rung the numbers came from (`full`,
     /// `no-model`, `constraint-true`).
     pub rung: String,
-    /// IDE solver counters from the sequential (`threads == 1`) cell —
-    /// scheduling counters are only deterministic at one thread.
+    /// IDE solver counters (deterministic: the solver is sequential).
     pub ide: IdeStats,
     /// BDD manager counters after all samples (shared manager).
     pub bdd: BddStats,
-    /// Per-thread-count measurements, in ascending thread order.
+    /// Measurement cells, in ascending `threads` order; `solver_bench`
+    /// emits exactly one, at `threads == 1`.
     pub threads: Vec<ThreadCell>,
 }
 

@@ -142,8 +142,8 @@ pub fn time_spllift<P, D>(
     mode: ModelMode,
 ) -> SplliftMeasurement
 where
-    P: for<'p> IfdsProblem<ProgramIcfg<'p>, Fact = D> + Sync,
-    D: Clone + Eq + Hash + std::fmt::Debug + Send + Sync,
+    P: for<'p> IfdsProblem<ProgramIcfg<'p>, Fact = D>,
+    D: Clone + Eq + Hash + std::fmt::Debug,
 {
     let ctx = BddConstraintContext::new(&spl.table);
     let model = spl.model_expr();

@@ -699,13 +699,8 @@ where
         mode: ModelMode,
     ) -> Self
     where
-        P: IfdsProblem<G, Fact = D> + Sync,
-        Ctx: ConstraintContext<C = C> + Sync,
-        G: Sync,
-        G::Stmt: Send + Sync,
-        G::Method: Send + Sync,
-        D: Send + Sync,
-        C: Send + Sync,
+        P: IfdsProblem<G, Fact = D>,
+        Ctx: ConstraintContext<C = C>,
     {
         Self::solve_with(problem, icfg, ctx, model, mode, IdeSolverOptions::default())
     }
@@ -722,55 +717,13 @@ where
         options: IdeSolverOptions,
     ) -> Self
     where
-        P: IfdsProblem<G, Fact = D> + Sync,
-        Ctx: ConstraintContext<C = C> + Sync,
-        G: Sync,
-        G::Stmt: Send + Sync,
-        G::Method: Send + Sync,
-        D: Send + Sync,
-        C: Send + Sync,
+        P: IfdsProblem<G, Fact = D>,
+        Ctx: ConstraintContext<C = C>,
     {
         let lifted_icfg = LiftedIcfg::new(icfg);
         let lifted = LiftedProblem::new(problem, icfg, ctx, model, mode);
         let solver = IdeSolver::solve_with(&lifted, &lifted_icfg, options);
         LiftedSolution { solver }
-    }
-
-    /// Incremental SPLLIFT: like [`solve_with`](Self::solve_with), but
-    /// warm-started from the `memo` of a previous solve of the same
-    /// product line. Methods for which `clean` returns `true` keep their
-    /// retained jump functions and end summaries; everything else is
-    /// re-tabulated. Returns the solution plus a fresh memo for the next
-    /// incremental round.
-    ///
-    /// The caller must pass a `clean` predicate whose complement (the
-    /// dirty set) contains every transitive *caller* of every edited
-    /// method — see [`SolverMemo`] for the closure argument. The analysis
-    /// server derives it from the call graph
-    /// (`spllift_ir::callgraph::transitive_callers`).
-    pub fn solve_memoized<P, Ctx>(
-        problem: &P,
-        icfg: &'g G,
-        ctx: &Ctx,
-        model: Option<&FeatureExpr>,
-        mode: ModelMode,
-        options: IdeSolverOptions,
-        memo: &SolverMemo<G::Method, G::Stmt, D, ConstraintEdge<C>>,
-        clean: &dyn Fn(G::Method) -> bool,
-    ) -> (Self, SolverMemo<G::Method, G::Stmt, D, ConstraintEdge<C>>)
-    where
-        P: IfdsProblem<G, Fact = D> + Sync,
-        Ctx: ConstraintContext<C = C> + Sync,
-        G: Sync,
-        G::Stmt: Send + Sync,
-        G::Method: Send + Sync,
-        D: Send + Sync,
-        C: Send + Sync,
-    {
-        let lifted_icfg = LiftedIcfg::new(icfg);
-        let lifted = LiftedProblem::new(problem, icfg, ctx, model, mode);
-        let (solver, next) = IdeSolver::solve_seeded(&lifted, &lifted_icfg, options, memo, clean);
-        (LiftedSolution { solver }, next)
     }
 
     /// SPLLIFT at an explicit lattice point, ungoverned — the
@@ -785,13 +738,8 @@ where
         point: &LatticePoint,
     ) -> Self
     where
-        P: IfdsProblem<G, Fact = D> + Sync,
-        Ctx: ConstraintContext<C = C> + Sync,
-        G: Sync,
-        G::Stmt: Send + Sync,
-        G::Method: Send + Sync,
-        D: Send + Sync,
-        C: Send + Sync,
+        P: IfdsProblem<G, Fact = D>,
+        Ctx: ConstraintContext<C = C>,
     {
         let lifted_icfg = LiftedIcfg::new(icfg);
         let (lifted, _) = LiftedProblem::abstracted(problem, icfg, ctx, model, mode, point);
@@ -823,13 +771,8 @@ where
         gov: GovernorOptions,
     ) -> Result<(Self, SolveOutcome), SolveAbort>
     where
-        P: IfdsProblem<G, Fact = D> + Sync,
-        Ctx: ConstraintContext<C = C> + Sync,
-        G: Sync,
-        G::Stmt: Send + Sync,
-        G::Method: Send + Sync,
-        D: Send + Sync,
-        C: Send + Sync,
+        P: IfdsProblem<G, Fact = D>,
+        Ctx: ConstraintContext<C = C>,
     {
         Self::solve_governed_memoized(
             problem,
@@ -876,13 +819,8 @@ where
         SolveAbort,
     >
     where
-        P: IfdsProblem<G, Fact = D> + Sync,
-        Ctx: ConstraintContext<C = C> + Sync,
-        G: Sync,
-        G::Stmt: Send + Sync,
-        G::Method: Send + Sync,
-        D: Send + Sync,
-        C: Send + Sync,
+        P: IfdsProblem<G, Fact = D>,
+        Ctx: ConstraintContext<C = C>,
     {
         let lifted_icfg = LiftedIcfg::new(icfg);
         let model_in_play = model.is_some() && mode != ModelMode::Ignore;

@@ -27,7 +27,6 @@ use spllift_analyses::{arg_bindings, result_local, returned_local, DefFact};
 use spllift_bdd::Bdd;
 use spllift_core::LiftedIcfg;
 use spllift_features::{BddConstraintContext, ConstraintContext, FeatureExpr};
-use spllift_hash::FastMap;
 use spllift_ifds::Icfg;
 use spllift_ir::{LocalId, MethodId, ProgramIcfg, StmtKind, StmtRef};
 
@@ -620,19 +619,6 @@ impl DatalogSolution {
             .collect();
         out.sort_by(|(a, _), (b, _)| a.cmp(b));
         out
-    }
-
-    /// Reaching-definition results grouped by statement (one database
-    /// pass; for per-statement comparisons over whole programs).
-    pub fn reaching_by_stmt(&self) -> FastMap<StmtRef, Vec<(DefFact, Bdd)>> {
-        let mut map: FastMap<StmtRef, Vec<(DefFact, Bdd)>> = FastMap::default();
-        for (s, fact, c) in self.all_reaching() {
-            map.entry(s).or_default().push((fact, c.clone()));
-        }
-        for facts in map.values_mut() {
-            facts.sort_by(|(a, _), (b, _)| a.cmp(b));
-        }
-        map
     }
 
     /// The constraint under which `fact` holds at `s`, if derivable.

@@ -8,19 +8,16 @@
 //! finally evaluates every jump function once.
 
 use crate::{EdgeFn, IdeProblem};
-use spllift_hash::{FastMap, FastSet, FxHasher64};
+use spllift_hash::{FastMap, FastSet};
 use spllift_ifds::{Icfg, SolveAbort, SolveLimits};
 use std::collections::VecDeque;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::thread;
 
 /// Counters collected during an IDE solver run.
 ///
 /// `jump_fn_constructions` counts every time a jump function is created or
 /// strengthened — the quantity the paper's §6.2 correlates with running
-/// time (ρ > 0.99).
+/// time (ρ > 0.99). The solver is sequential, so every counter is a
+/// deterministic function of the problem and the [`IdeSolverOptions`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IdeStats {
     /// Phase-1 worklist items processed.
@@ -40,7 +37,7 @@ pub struct IdeStats {
 ///
 /// The defaults are what [`IdeSolver::solve`] uses; pass an explicit
 /// value to [`IdeSolver::solve_with`] to deviate (the invariance tests
-/// run both settings and assert identical results).
+/// run both dedup settings and assert identical results).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IdeSolverOptions {
     /// Deduplicate the Phase-1 worklist: a `(d1, n, d2)` triple whose
@@ -50,7 +47,7 @@ pub struct IdeSolverOptions {
     /// [`IdeStats::propagations`] drops.
     pub worklist_dedup: bool,
     /// Propagation cap and wall-clock deadline. When any bound is set,
-    /// the `try_solve*` entry points abort with the matching
+    /// [`IdeSolver::try_solve_seeded`] aborts with the matching
     /// [`SolveAbort`]; the infallible entry points panic. Unlimited by
     /// default, in which case the per-iteration checks are skipped and
     /// the hot path is byte-for-byte the ungoverned one.
@@ -61,14 +58,8 @@ pub struct IdeSolverOptions {
     /// call per propagation); governed solves that arm a constraint
     /// budget must turn it on.
     pub poll_budget: bool,
-    /// Phase-1 worker threads. `0` and `1` both mean the sequential
-    /// worklist (byte-for-byte the historical solver); `N > 1` runs
-    /// Phase-1 propagation on `N` workers over method-sharded worklists
-    /// with work stealing. Results are identical at every setting —
-    /// only [`IdeStats`] scheduling counters (`propagations`,
-    /// `flow_evals`, `value_updates`) may differ, because dedup hits
-    /// and join order depend on interleaving. Phase 2 is sequential at
-    /// any setting. See DESIGN.md §12 for the determinism argument.
+    /// Ignored: the solver is sequential at every value. The field is
+    /// kept only so existing struct literals that set it still compile.
     pub threads: usize,
 }
 
@@ -85,7 +76,7 @@ impl Default for IdeSolverOptions {
 
 /// Reusable Phase-1 artifacts of a completed solve: jump functions and
 /// Reps–Horwitz–Sagiv end summaries, keyed exactly as Phase 1 keeps
-/// them. [`IdeSolver::solve_seeded`] consumes a memo to warm-start an
+/// them. [`IdeSolver::try_solve_seeded`] consumes a memo to warm-start an
 /// *incremental* re-solve: entries belonging to methods the caller
 /// declares clean are preloaded at their fixpoint, so the solver only
 /// re-tabulates the dirty region; entries for dirty methods are
@@ -119,16 +110,6 @@ impl<M, S, D, EF> SolverMemo<M, S, D, EF> {
     pub fn is_empty(&self) -> bool {
         self.jump.is_empty() && self.end_summary.is_empty()
     }
-
-    /// Number of retained jump-function entries.
-    pub fn jump_fns(&self) -> usize {
-        self.jump.values().map(FastMap::len).sum()
-    }
-
-    /// Number of retained `(method, entry-fact)` summary keys.
-    pub fn summary_keys(&self) -> usize {
-        self.end_summary.len()
-    }
 }
 
 /// The IDE solver. Build with [`IdeSolver::solve`].
@@ -155,82 +136,42 @@ where
     /// default [`IdeSolverOptions`].
     pub fn solve<P>(problem: &P, icfg: &G) -> Self
     where
-        P: IdeProblem<G, Fact = D, Value = V> + Sync,
-        G: Sync,
-        G::Stmt: Send + Sync,
-        G::Method: Send + Sync,
-        D: Send + Sync,
-        P::EF: Send + Sync,
+        P: IdeProblem<G, Fact = D, Value = V>,
     {
         Self::solve_with(problem, icfg, IdeSolverOptions::default())
     }
 
     /// Runs both phases of the IDE algorithm to a fixpoint with explicit
-    /// [`IdeSolverOptions`].
+    /// [`IdeSolverOptions`]. Panics if a governance bound in `options`
+    /// aborts the solve; use [`try_solve_seeded`](Self::try_solve_seeded)
+    /// to handle [`SolveAbort`].
     pub fn solve_with<P>(problem: &P, icfg: &G, options: IdeSolverOptions) -> Self
     where
-        P: IdeProblem<G, Fact = D, Value = V> + Sync,
-        G: Sync,
-        G::Stmt: Send + Sync,
-        G::Method: Send + Sync,
-        D: Send + Sync,
-        P::EF: Send + Sync,
-    {
-        Self::solve_seeded(problem, icfg, options, &SolverMemo::default(), &|_| false).0
-    }
-
-    /// Governed [`solve_with`](Self::solve_with): aborts with a
-    /// [`SolveAbort`] when an [`IdeSolverOptions::limits`] bound is hit
-    /// or (with [`IdeSolverOptions::poll_budget`]) the problem reports
-    /// budget exhaustion. The partial tabulation is discarded on abort.
-    pub fn try_solve_with<P>(
-        problem: &P,
-        icfg: &G,
-        options: IdeSolverOptions,
-    ) -> Result<Self, SolveAbort>
-    where
-        P: IdeProblem<G, Fact = D, Value = V> + Sync,
-        G: Sync,
-        G::Stmt: Send + Sync,
-        G::Method: Send + Sync,
-        D: Send + Sync,
-        P::EF: Send + Sync,
+        P: IdeProblem<G, Fact = D, Value = V>,
     {
         Self::try_solve_seeded(problem, icfg, options, &SolverMemo::default(), &|_| false)
-            .map(|(solver, _)| solver)
+            .expect("governed solve aborted; use try_solve_seeded to handle SolveAbort")
+            .0
     }
 
-    /// Incremental solve: warm-starts Phase 1 from `memo`, keeping the
-    /// retained jump functions and end summaries of every method `m`
-    /// with `clean(m)`, and re-tabulating everything else. Returns the
-    /// solution together with a fresh memo for the *next* solve.
+    /// The governed, incremental solve every other entry point runs.
+    ///
+    /// Warm-starts Phase 1 from `memo`, keeping the retained jump
+    /// functions and end summaries of every method `m` with `clean(m)`,
+    /// and re-tabulating everything else. Returns the solution together
+    /// with a fresh memo for the *next* solve. An empty memo (or a
+    /// `clean` that rejects every method) is a cold solve.
     ///
     /// The caller guarantees the clean-set closure documented on
     /// [`SolverMemo`]; with it, the result is identical to a cold
     /// [`solve_with`](Self::solve_with) while
     /// [`IdeStats::propagations`] only counts work in the dirty region
     /// (plus any new entry facts flowing into clean methods).
-    pub fn solve_seeded<P>(
-        problem: &P,
-        icfg: &G,
-        options: IdeSolverOptions,
-        memo: &SolverMemo<G::Method, G::Stmt, D, P::EF>,
-        clean: &dyn Fn(G::Method) -> bool,
-    ) -> (Self, SolverMemo<G::Method, G::Stmt, D, P::EF>)
-    where
-        P: IdeProblem<G, Fact = D, Value = V> + Sync,
-        G: Sync,
-        G::Stmt: Send + Sync,
-        G::Method: Send + Sync,
-        D: Send + Sync,
-        P::EF: Send + Sync,
-    {
-        Self::try_solve_seeded(problem, icfg, options, memo, clean)
-            .expect("governed solve aborted; use try_solve_seeded to handle SolveAbort")
-    }
-
-    /// Governed [`solve_seeded`](Self::solve_seeded); see
-    /// [`try_solve_with`](Self::try_solve_with) for the abort contract.
+    ///
+    /// Aborts with a [`SolveAbort`] when an [`IdeSolverOptions::limits`]
+    /// bound is hit or (with [`IdeSolverOptions::poll_budget`]) the
+    /// problem reports budget exhaustion. The partial tabulation is
+    /// discarded on abort.
     pub fn try_solve_seeded<P>(
         problem: &P,
         icfg: &G,
@@ -239,12 +180,7 @@ where
         clean: &dyn Fn(G::Method) -> bool,
     ) -> Result<(Self, SolverMemo<G::Method, G::Stmt, D, P::EF>), SolveAbort>
     where
-        P: IdeProblem<G, Fact = D, Value = V> + Sync,
-        G: Sync,
-        G::Stmt: Send + Sync,
-        G::Method: Send + Sync,
-        D: Send + Sync,
-        P::EF: Send + Sync,
+        P: IdeProblem<G, Fact = D, Value = V>,
     {
         // Preload clean methods' Phase-1 state. Jump entries enter with
         // a cleared pending flag: they are already at fixpoint, so the
@@ -272,28 +208,24 @@ where
                 end_summary.insert(key.clone(), summaries.clone());
             }
         }
-        let (jump, end_summary, stats) = if options.threads > 1 {
-            run_parallel_phase1(problem, icfg, &options, jump, end_summary, sealed)?
-        } else {
-            let mut phase1 = Phase1::<G, P> {
-                jump,
-                worklist: VecDeque::new(),
-                dedup: options.worklist_dedup,
-                incoming: FastMap::default(),
-                end_summary,
-                sealed,
-                stats: IdeStats::default(),
-            };
-            phase1.run(problem, icfg, &options)?;
-            (phase1.jump, phase1.end_summary, phase1.stats)
+        let mut phase1 = Phase1::<G, P> {
+            jump,
+            worklist: VecDeque::new(),
+            dedup: options.worklist_dedup,
+            incoming: FastMap::default(),
+            end_summary,
+            sealed,
+            stats: IdeStats::default(),
         };
-        let (values, stats) = phase2(problem, icfg, &jump, stats, &options)?;
+        phase1.run(problem, icfg, &options)?;
+        let (values, stats) = phase2(problem, icfg, &phase1.jump, phase1.stats, &options)?;
         let next_memo = SolverMemo {
-            jump: jump
+            jump: phase1
+                .jump
                 .into_iter()
                 .map(|(k, fns)| (k, fns.into_iter().map(|(d, (f, _))| (d, f)).collect()))
                 .collect(),
-            end_summary,
+            end_summary: phase1.end_summary,
         };
         Ok((
             IdeSolver {
@@ -581,494 +513,6 @@ where
             }
         }
     }
-}
-
-/// One method-sharded slice of parallel Phase-1 state. Every statement
-/// maps to its method's shard, so all of a `(method, entry-fact)` key's
-/// call-tabulation state — the jump entries at the method's statements,
-/// its `incoming` callers, and its end summaries — lives behind **one**
-/// mutex. That is the lock the call/exit handshake (below) relies on.
-struct P1Shard<G: Icfg, P: IdeProblem<G>> {
-    jump: FastMap<(G::Stmt, P::Fact), FastMap<P::Fact, JumpEntry<P::EF>>>,
-    incoming: FastMap<(G::Method, P::Fact), FastSet<(G::Stmt, P::Fact, P::Fact)>>,
-    end_summary: FastMap<(G::Method, P::Fact), FastMap<(G::Stmt, P::Fact), P::EF>>,
-    queue: VecDeque<(P::Fact, G::Stmt, P::Fact)>,
-    jump_fn_constructions: u64,
-    killed_early: u64,
-}
-
-impl<G: Icfg, P: IdeProblem<G>> Default for P1Shard<G, P> {
-    fn default() -> Self {
-        P1Shard {
-            jump: FastMap::default(),
-            incoming: FastMap::default(),
-            end_summary: FastMap::default(),
-            queue: VecDeque::new(),
-            jump_fn_constructions: 0,
-            killed_early: 0,
-        }
-    }
-}
-
-/// Items a worker drains from a queue per lock acquisition.
-const P1_BATCH: usize = 8;
-
-/// Shared state of the parallel Phase-1 run (`threads > 1`).
-///
-/// # Correctness under interleaving
-///
-/// The two races a naive parallelization of the Heros tabulation has —
-/// a summary registered between a call's summary snapshot and its
-/// `incoming` insertion, and an `incoming` caller registered between an
-/// exit's summary join and its caller snapshot — are both closed by a
-/// single critical section per side on the **callee's shard lock**:
-/// `process_call` registers the caller and snapshots summaries under
-/// one acquisition; `process_exit` joins the summary and snapshots
-/// callers under one acquisition of the same lock. Whichever side runs
-/// second sees the other's write, so no summary application is lost.
-///
-/// Edge-function composition and flow-function evaluation (the BDD
-/// work) always run outside shard locks, and at most one shard lock is
-/// ever held, so the lock graph is acyclic; the BDD store's internal
-/// shard locks are leaf locks below these.
-///
-/// # Termination
-///
-/// `inflight` counts queued-or-in-process items (incremented before a
-/// queue push, decremented after an item is fully processed, which
-/// orders it after any pushes the item itself performed). All queues
-/// empty ∧ `inflight == 0` therefore means the fixpoint is reached.
-/// A worker that aborts (governance) or panics (fault injection) sets
-/// `abort` so the others stop instead of spinning on a never-draining
-/// `inflight`.
-struct ParPhase1<'g, G: Icfg, P: IdeProblem<G>> {
-    icfg: &'g G,
-    shards: Vec<Mutex<P1Shard<G, P>>>,
-    mask: u64,
-    /// Read-only during the run (populated from the memo preload).
-    sealed: FastSet<(G::Method, P::Fact)>,
-    dedup: bool,
-    governed: bool,
-    inflight: AtomicU64,
-    propagations: AtomicU64,
-    flow_evals: AtomicU64,
-    abort: AtomicBool,
-    abort_cause: Mutex<Option<SolveAbort>>,
-}
-
-/// Sets the abort flag if the owning worker unwinds, so sibling workers
-/// exit their idle loop instead of waiting for an `inflight` decrement
-/// that will never come. The panic itself re-propagates at scope join.
-struct AbortOnPanic<'a>(&'a AtomicBool);
-
-impl Drop for AbortOnPanic<'_> {
-    fn drop(&mut self) {
-        if thread::panicking() {
-            self.0.store(true, Ordering::Release);
-        }
-    }
-}
-
-impl<'g, G, P> ParPhase1<'g, G, P>
-where
-    G: Icfg + Sync,
-    P: IdeProblem<G> + Sync,
-    G::Stmt: Send + Sync,
-    G::Method: Send + Sync,
-    P::Fact: Send + Sync,
-    P::EF: Send + Sync,
-{
-    fn shard_for(&self, m: G::Method) -> usize {
-        let mut h = FxHasher64::default();
-        m.hash(&mut h);
-        (h.finish() & self.mask) as usize
-    }
-
-    /// [`Phase1::propagate`], against an already-locked shard. The
-    /// caller must hold the shard owning `n`'s method.
-    fn propagate_into(
-        &self,
-        shard: &mut P1Shard<G, P>,
-        d1: P::Fact,
-        n: G::Stmt,
-        d2: P::Fact,
-        f: P::EF,
-    ) {
-        if f.is_kill() {
-            shard.killed_early += 1;
-            return;
-        }
-        let slot = shard.jump.entry((n, d1.clone())).or_default();
-        let (changed, queue) = match slot.get_mut(&d2) {
-            None => {
-                slot.insert(d2.clone(), (f, true));
-                (true, true)
-            }
-            Some((old, queued)) => {
-                let joined = old.join(&f);
-                if joined != *old {
-                    *old = joined;
-                    let requeue = !*queued || !self.dedup;
-                    *queued = true;
-                    (true, requeue)
-                } else {
-                    (false, false)
-                }
-            }
-        };
-        if changed {
-            shard.jump_fn_constructions += 1;
-        }
-        if queue {
-            self.inflight.fetch_add(1, Ordering::Release);
-            shard.queue.push_back((d1, n, d2));
-        }
-    }
-
-    fn propagate(&self, d1: P::Fact, n: G::Stmt, d2: P::Fact, f: P::EF) {
-        let s = self.shard_for(self.icfg.method_of(n));
-        let mut shard = self.shards[s].lock().expect("phase-1 shard lock");
-        self.propagate_into(&mut shard, d1, n, d2, f);
-    }
-
-    /// Snapshots the jump function of a just-popped triple and clears
-    /// its pending flag (cf. [`Phase1::take_jump`]).
-    fn take_jump(&self, n: G::Stmt, d1: &P::Fact, d2: &P::Fact) -> Option<P::EF> {
-        let s = self.shard_for(self.icfg.method_of(n));
-        let mut shard = self.shards[s].lock().expect("phase-1 shard lock");
-        let (f, queued) = shard.jump.get_mut(&(n, d1.clone()))?.get_mut(d2)?;
-        *queued = false;
-        Some(f.clone())
-    }
-
-    fn process(
-        &self,
-        problem: &P,
-        options: &IdeSolverOptions,
-        d1: P::Fact,
-        n: G::Stmt,
-        d2: P::Fact,
-    ) -> Result<(), SolveAbort> {
-        let count = self.propagations.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.governed {
-            options.limits.check(count)?;
-            if options.poll_budget {
-                problem.budget_check().map_err(SolveAbort::Budget)?;
-            }
-        }
-        let icfg = self.icfg;
-        let Some(f) = self.take_jump(n, &d1, &d2) else {
-            return Ok(());
-        };
-        if icfg.is_call(n) {
-            self.process_call(problem, &d1, n, &d2, &f);
-        } else {
-            if icfg.is_exit(n) {
-                self.process_exit(problem, icfg.method_of(n), &d1, n, &d2, &f);
-            }
-            for succ in icfg.successors_of(n) {
-                self.flow_evals.fetch_add(1, Ordering::Relaxed);
-                for (d3, g) in problem.flow_normal(icfg, n, succ, &d2) {
-                    self.propagate(d1.clone(), succ, d3, f.compose_with(&g));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn process_call(&self, problem: &P, d1: &P::Fact, n: G::Stmt, d2: &P::Fact, f: &P::EF) {
-        let icfg = self.icfg;
-        for callee in icfg.callees_of(n) {
-            self.flow_evals.fetch_add(1, Ordering::Relaxed);
-            for (d3, g_call) in problem.flow_call(icfg, n, callee, d2) {
-                let sp = icfg.start_point_of(callee);
-                let key = (callee, d3.clone());
-                // One critical section on the callee's shard: seed the
-                // callee-local identity (sp is in the callee's shard),
-                // register this caller, and snapshot the summaries. An
-                // exit joining a new summary on another thread either
-                // happens before this (we see the summary here) or
-                // after (it sees our `incoming` entry and applies the
-                // summary in `process_exit`).
-                let summaries: Vec<((G::Stmt, P::Fact), P::EF)> = {
-                    let s = self.shard_for(callee);
-                    let mut shard = self.shards[s].lock().expect("phase-1 shard lock");
-                    if !self.sealed.contains(&key) {
-                        self.propagate_into(
-                            &mut shard,
-                            d3.clone(),
-                            sp,
-                            d3.clone(),
-                            problem.id_edge(),
-                        );
-                    }
-                    shard.incoming.entry(key.clone()).or_default().insert((
-                        n,
-                        d2.clone(),
-                        d1.clone(),
-                    ));
-                    shard
-                        .end_summary
-                        .get(&key)
-                        .map(|m| m.iter().map(|(k, v)| (k.clone(), v.clone())).collect())
-                        .unwrap_or_default()
-                };
-                for ((exit, d4), f_summary) in summaries {
-                    for r in icfg.return_sites_of(n) {
-                        self.flow_evals.fetch_add(1, Ordering::Relaxed);
-                        for (d5, g_ret) in problem.flow_return(icfg, n, callee, exit, r, &d4) {
-                            let composed = f
-                                .compose_with(&g_call)
-                                .compose_with(&f_summary)
-                                .compose_with(&g_ret);
-                            self.propagate(d1.clone(), r, d5, composed);
-                        }
-                    }
-                }
-            }
-        }
-        for r in icfg.return_sites_of(n) {
-            self.flow_evals.fetch_add(1, Ordering::Relaxed);
-            for (d3, g) in problem.flow_call_to_return(icfg, n, r, d2) {
-                self.propagate(d1.clone(), r, d3, f.compose_with(&g));
-            }
-        }
-    }
-
-    fn process_exit(
-        &self,
-        problem: &P,
-        method: G::Method,
-        d1: &P::Fact,
-        n: G::Stmt,
-        d2: &P::Fact,
-        f: &P::EF,
-    ) {
-        let icfg = self.icfg;
-        let key = (method, d1.clone());
-        // The exit side of the handshake: join the summary and snapshot
-        // the registered callers under one acquisition of the exiting
-        // method's shard lock (the same lock `process_call` handshakes
-        // on — `method` here *is* the callee there).
-        let callers: Vec<(G::Stmt, P::Fact, P::Fact)> = {
-            let s = self.shard_for(method);
-            let mut shard = self.shards[s].lock().expect("phase-1 shard lock");
-            use std::collections::hash_map::Entry;
-            let changed = match shard
-                .end_summary
-                .entry(key.clone())
-                .or_default()
-                .entry((n, d2.clone()))
-            {
-                Entry::Vacant(v) => {
-                    v.insert(f.clone());
-                    true
-                }
-                Entry::Occupied(mut o) => {
-                    let joined = o.get().join(f);
-                    if joined != *o.get() {
-                        o.insert(joined);
-                        true
-                    } else {
-                        false
-                    }
-                }
-            };
-            if !changed {
-                return;
-            }
-            shard
-                .incoming
-                .get(&key)
-                .map(|set| set.iter().cloned().collect())
-                .unwrap_or_default()
-        };
-        for (call, d2c, d1c) in callers {
-            // The caller's jump prefix lives in the caller's shard —
-            // probed *after* releasing the callee lock. If it
-            // strengthens later, the call triple re-queues and
-            // `process_call` re-applies our (already joined) summary.
-            let f_prefix = {
-                let s = self.shard_for(icfg.method_of(call));
-                let shard = self.shards[s].lock().expect("phase-1 shard lock");
-                shard
-                    .jump
-                    .get(&(call, d1c.clone()))
-                    .and_then(|m| m.get(&d2c))
-                    .map(|(f, _)| f.clone())
-            };
-            let Some(f_prefix) = f_prefix else {
-                continue;
-            };
-            self.flow_evals.fetch_add(1, Ordering::Relaxed);
-            for (d3, g_call) in problem.flow_call(icfg, call, method, &d2c) {
-                if d3 != *d1 {
-                    continue;
-                }
-                for r in icfg.return_sites_of(call) {
-                    self.flow_evals.fetch_add(1, Ordering::Relaxed);
-                    for (d5, g_ret) in problem.flow_return(icfg, call, method, n, r, d2) {
-                        let composed = f_prefix
-                            .compose_with(&g_call)
-                            .compose_with(&f.clone())
-                            .compose_with(&g_ret);
-                        self.propagate(d1c.clone(), r, d5, composed);
-                    }
-                }
-            }
-        }
-    }
-
-    fn record_abort(&self, e: SolveAbort) {
-        let mut cause = self.abort_cause.lock().expect("abort cause lock");
-        if cause.is_none() {
-            *cause = Some(e);
-        }
-        self.abort.store(true, Ordering::Release);
-    }
-
-    /// One worker's loop: drain batches from the home shard, steal
-    /// round-robin from the rest, exit when the global fixpoint is
-    /// reached or any worker aborted.
-    fn worker(&self, problem: &P, options: &IdeSolverOptions, home: usize) {
-        let nshards = self.shards.len();
-        let mut batch: Vec<(P::Fact, G::Stmt, P::Fact)> = Vec::with_capacity(P1_BATCH);
-        loop {
-            if self.abort.load(Ordering::Acquire) {
-                return;
-            }
-            for i in 0..nshards {
-                let s = (home + i) % nshards;
-                let mut shard = self.shards[s].lock().expect("phase-1 shard lock");
-                while batch.len() < P1_BATCH {
-                    match shard.queue.pop_front() {
-                        Some(item) => batch.push(item),
-                        None => break,
-                    }
-                }
-                if !batch.is_empty() {
-                    break;
-                }
-            }
-            if batch.is_empty() {
-                if self.inflight.load(Ordering::Acquire) == 0 {
-                    return;
-                }
-                // Single-core friendliness: hand the slice to whoever
-                // holds the remaining work instead of spinning hot.
-                thread::yield_now();
-                continue;
-            }
-            for (d1, n, d2) in batch.drain(..) {
-                let outcome = self.process(problem, options, d1, n, d2);
-                self.inflight.fetch_sub(1, Ordering::Release);
-                if let Err(e) = outcome {
-                    self.record_abort(e);
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// Runs Phase 1 on `options.threads` workers over method-sharded
-/// worklists (see [`ParPhase1`]) and merges the shards back into the
-/// global jump/summary maps the sequential Phase 2 consumes.
-///
-/// The merged *maps* are identical to a sequential run's (least
-/// fixpoint of a monotone system, join commutative/associative/
-/// idempotent, and BDD-backed edge functions are canonical, so join
-/// order cannot change any value). Scheduling counters (`propagations`,
-/// `flow_evals`) are **not** deterministic at `threads > 1`: dedup hits
-/// depend on pop/push interleaving.
-#[allow(clippy::type_complexity)]
-fn run_parallel_phase1<G, P>(
-    problem: &P,
-    icfg: &G,
-    options: &IdeSolverOptions,
-    jump: FastMap<(G::Stmt, P::Fact), FastMap<P::Fact, JumpEntry<P::EF>>>,
-    end_summary: FastMap<(G::Method, P::Fact), FastMap<(G::Stmt, P::Fact), P::EF>>,
-    sealed: FastSet<(G::Method, P::Fact)>,
-) -> Result<
-    (
-        FastMap<(G::Stmt, P::Fact), FastMap<P::Fact, JumpEntry<P::EF>>>,
-        FastMap<(G::Method, P::Fact), FastMap<(G::Stmt, P::Fact), P::EF>>,
-        IdeStats,
-    ),
-    SolveAbort,
->
-where
-    G: Icfg + Sync,
-    P: IdeProblem<G> + Sync,
-    G::Stmt: Send + Sync,
-    G::Method: Send + Sync,
-    P::Fact: Send + Sync,
-    P::EF: Send + Sync,
-{
-    let threads = options.threads;
-    // More shards than workers keeps steal conflicts rare without
-    // fragmenting small programs into thousands of mutexes.
-    let nshards = (threads * 8).next_power_of_two();
-    let mask = (nshards - 1) as u64;
-    let shard_for = |m: G::Method| -> usize {
-        let mut h = FxHasher64::default();
-        m.hash(&mut h);
-        (h.finish() & mask) as usize
-    };
-    let mut shards: Vec<P1Shard<G, P>> = (0..nshards).map(|_| P1Shard::default()).collect();
-    // Distribute memo-preloaded state to its owning shards.
-    for (key, fns) in jump {
-        shards[shard_for(icfg.method_of(key.0))]
-            .jump
-            .insert(key, fns);
-    }
-    for (key, sums) in end_summary {
-        shards[shard_for(key.0)].end_summary.insert(key, sums);
-    }
-    let state = ParPhase1::<G, P> {
-        icfg,
-        shards: shards.into_iter().map(Mutex::new).collect(),
-        mask,
-        sealed,
-        dedup: options.worklist_dedup,
-        governed: options.limits.armed() || options.poll_budget,
-        inflight: AtomicU64::new(0),
-        propagations: AtomicU64::new(0),
-        flow_evals: AtomicU64::new(0),
-        abort: AtomicBool::new(false),
-        abort_cause: Mutex::new(None),
-    };
-    for (sp, fact) in problem.initial_seeds(icfg) {
-        state.propagate(fact.clone(), sp, fact, problem.id_edge());
-    }
-    thread::scope(|scope| {
-        for w in 0..threads {
-            let state = &state;
-            scope.spawn(move || {
-                let _guard = AbortOnPanic(&state.abort);
-                state.worker(problem, options, w * nshards / threads);
-            });
-        }
-    });
-    if let Some(e) = state.abort_cause.lock().expect("abort cause lock").take() {
-        return Err(e);
-    }
-    let mut stats = IdeStats {
-        propagations: state.propagations.load(Ordering::Acquire),
-        flow_evals: state.flow_evals.load(Ordering::Acquire),
-        ..IdeStats::default()
-    };
-    let mut jump = FastMap::default();
-    let mut end_summary = FastMap::default();
-    for shard in state.shards {
-        let s = shard.into_inner().expect("phase-1 shard lock");
-        stats.jump_fn_constructions += s.jump_fn_constructions;
-        stats.killed_early += s.killed_early;
-        // Statements shard by method, so shard key sets are disjoint.
-        jump.extend(s.jump);
-        end_summary.extend(s.end_summary);
-    }
-    Ok((jump, end_summary, stats))
 }
 
 /// The per-propagation governance probe: bounds first (cheap integer /

@@ -111,10 +111,6 @@ pub struct ServerOptions {
     /// ordinal depends on request interleaving, but the victim
     /// session's own counter does not. Testing harness only.
     pub fault_session: Option<String>,
-    /// Default phase-1 solver threads per solve (`--threads`); a
-    /// request's `threads` field overrides it. Results are
-    /// byte-identical at every value.
-    pub threads: usize,
     /// Features every degraded solve must keep precise
     /// (`--keep-features A,B`): when budgets trip, the governor
     /// schedules feature-sparing abstractions (confound OR groups,
@@ -139,7 +135,6 @@ impl Default for ServerOptions {
             max_propagations: None,
             inject_fault: None,
             fault_session: None,
-            threads: 1,
             keep_features: None,
         }
     }

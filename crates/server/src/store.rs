@@ -256,8 +256,8 @@ fn analyze_generic<P, D>(
     state: &mut SolvedState<D>,
 ) -> Result<AnalyzeOutcome, String>
 where
-    P: for<'p> IfdsProblem<ProgramIcfg<'p>, Fact = D> + Sync,
-    D: Clone + Eq + Ord + Hash + std::fmt::Debug + Send + Sync,
+    P: for<'p> IfdsProblem<ProgramIcfg<'p>, Fact = D>,
+    D: Clone + Eq + Ord + Hash + std::fmt::Debug,
 {
     let icfg = ProgramIcfg::new(program);
     // Pick the clean set. The memo's soundness contract (SolverMemo)

@@ -17,8 +17,8 @@
 //! for both the victim and every healthy session.
 
 use spllift_ifds::{Icfg, IfdsProblem};
+use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// The fault classes the harness can inject.
@@ -167,9 +167,7 @@ pub const PANIC_IN_FLOW_MESSAGE: &str = "injected fault: panic-in-flow";
 pub struct ChaosWrapper<'a, P> {
     inner: &'a P,
     kind: FaultKind,
-    /// Atomic so a charge is claimed exactly once even when the parallel
-    /// Phase-1 workers race through flow evaluations.
-    charges: AtomicU64,
+    charges: Cell<u64>,
     /// How long a [`FaultKind::SlowEdge`] evaluation stalls. Must exceed
     /// the governor's per-rung allowance for the fault to be observed.
     slow_for: Duration,
@@ -177,11 +175,11 @@ pub struct ChaosWrapper<'a, P> {
     /// burns the constraint budget. Injected by the harness because the
     /// wrapper itself is representation-agnostic (the server passes a
     /// closure charging the session's BDD manager).
-    on_blowup: Box<dyn Fn() + Sync + 'a>,
+    on_blowup: Box<dyn Fn() + 'a>,
     /// Flow evaluations to let through untouched before the charges
     /// start being claimed — lets a test exhaust the budget at a chosen
     /// point *mid-solve* instead of on the very first evaluation.
-    delay: AtomicU64,
+    delay: Cell<u64>,
 }
 
 impl<'a, P> ChaosWrapper<'a, P> {
@@ -195,56 +193,48 @@ impl<'a, P> ChaosWrapper<'a, P> {
         kind: FaultKind,
         charges: u64,
         slow_for: Duration,
-        on_blowup: Box<dyn Fn() + Sync + 'a>,
+        on_blowup: Box<dyn Fn() + 'a>,
     ) -> Self {
         Self::with_delay(inner, kind, charges, 0, slow_for, on_blowup)
     }
 
     /// Like [`new`](Self::new), but the first `delay` flow evaluations
     /// pass through untouched — the fault fires on evaluation
-    /// `delay + 1` (deterministic with a single-threaded Phase 1).
+    /// `delay + 1` (deterministic: Phase 1 is sequential).
     pub fn with_delay(
         inner: &'a P,
         kind: FaultKind,
         charges: u64,
         delay: u64,
         slow_for: Duration,
-        on_blowup: Box<dyn Fn() + Sync + 'a>,
+        on_blowup: Box<dyn Fn() + 'a>,
     ) -> Self {
         ChaosWrapper {
             inner,
             kind,
-            charges: AtomicU64::new(charges),
+            charges: Cell::new(charges),
             slow_for,
             on_blowup,
-            delay: AtomicU64::new(delay),
+            delay: Cell::new(delay),
         }
     }
 
     /// Charges left (0 = transparent from now on).
     pub fn charges_left(&self) -> u64 {
-        self.charges.load(Ordering::Acquire)
+        self.charges.get()
     }
 
     fn trip(&self) {
         // Spend the delay before any charge can be claimed.
-        if self
-            .delay
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |d| d.checked_sub(1))
-            .is_ok()
-        {
+        if let Some(d) = self.delay.get().checked_sub(1) {
+            self.delay.set(d);
             return;
         }
-        // Claim a charge atomically: with a multi-threaded Phase 1,
-        // racing evaluations must fire the fault exactly `charges`
-        // times, not once per racer.
-        let claimed = self
-            .charges
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |c| c.checked_sub(1))
-            .is_ok();
-        if !claimed {
+        // Claim a charge: the fault fires exactly `charges` times.
+        let Some(c) = self.charges.get().checked_sub(1) else {
             return;
-        }
+        };
+        self.charges.set(c);
         match self.kind {
             FaultKind::PanicInFlow => panic!("{}", PANIC_IN_FLOW_MESSAGE),
             FaultKind::BddBlowup | FaultKind::BudgetExhaust => (self.on_blowup)(),

@@ -1,5 +1,5 @@
 //! The differential fuzzing campaign: seeded random (and mutated)
-//! product lines, checked five ways per seed, with automatic ddmin
+//! product lines, checked four ways per seed, with automatic ddmin
 //! reduction of every failure.
 //!
 //! For each seed the driver generates a random annotated program
@@ -22,11 +22,7 @@
 //!    abstracted one — abstractions may widen, never narrow;
 //! 4. **interpreter soundness** — every dynamic leak / uninitialized
 //!    read the concrete interpreter observes in a derived product must
-//!    be predicted by the corresponding lifted analysis;
-//! 5. with [`FuzzOptions::threads`] `> 1`, **threaded ≡ sequential** —
-//!    the lifted solve under test runs on the parallel phase-1
-//!    worklist and must render byte-identical to a sequential solve of
-//!    the same instance.
+//!    be predicted by the corresponding lifted analysis.
 //!
 //! Seeds are sharded across `jobs` worker threads with the same
 //! contiguous-ordered rule as the configuration shards
@@ -78,6 +74,10 @@ const MUTATION_SALT: u64 = 0x6d75_7461_7465_5f21;
 /// Salt for the lattice-point RNG stream of the abstraction
 /// differential, independent of generation and mutation.
 const ABSTRACTION_SALT: u64 = 0x6162_7374_7261_6374;
+
+/// Worker count of the sharded Datalog evaluation that every seed pins
+/// against the sequential one (jobs = 1).
+const DATALOG_SHARDED_JOBS: usize = 2;
 
 /// A deliberately wrong flow function, applied to the lifted solve only.
 ///
@@ -200,11 +200,6 @@ pub struct FuzzOptions {
     pub bug: InjectedBug,
     /// Run the ddmin reducer on every failing seed.
     pub reduce_failures: bool,
-    /// Phase-1 solver threads for the *lifted* solve under test. When
-    /// greater than one, every seed additionally pins the threaded
-    /// solve byte-identical to the sequential one (the crosscheck's A2
-    /// exhaustive baseline stays sequential either way).
-    pub threads: usize,
 }
 
 impl Default for FuzzOptions {
@@ -220,7 +215,6 @@ impl Default for FuzzOptions {
             budget: None,
             bug: InjectedBug::None,
             reduce_failures: true,
-            threads: 1,
         }
     }
 }
@@ -398,42 +392,9 @@ pub fn subject_for_seed(seed: u64, opts: &FuzzOptions) -> RandomSpl {
     spl
 }
 
-/// Canonical rendering of a lifted solution: every statement's
-/// reachability cube plus its sorted `(fact, cube)` rows, in ICFG
-/// order. Cube strings are canonical per BDD, so two renderings are
-/// equal iff the solutions are semantically identical — the yardstick
-/// for the threaded ≡ sequential differential below.
-fn solution_rendering<'p, D>(
-    icfg: &ProgramIcfg<'p>,
-    solution: &LiftedSolution<'_, ProgramIcfg<'p>, D, spllift_bdd::Bdd>,
-) -> String
-where
-    D: Clone + Eq + Ord + Hash + std::fmt::Debug,
-{
-    let mut out = String::new();
-    for m in icfg.methods() {
-        for s in icfg.stmts_of(m) {
-            let _ = writeln!(
-                out,
-                "{s} reach {}",
-                solution.reachability_of(s).to_cube_string()
-            );
-            let mut rows: Vec<(D, spllift_bdd::Bdd)> = solution.results_at(s).into_iter().collect();
-            rows.sort_by(|a, b| a.0.cmp(&b.0));
-            for (d, c) in rows {
-                let _ = writeln!(out, "{s} {d:?} {}", c.to_cube_string());
-            }
-        }
-    }
-    out
-}
-
 /// Cross-checks one analysis on one program: SPLLIFT (with the bug
 /// wrapper applied) against the *raw* problem's A2 oracle, over
-/// `configs`, both directions. With `threads > 1` the lifted solve
-/// under test runs on the parallel phase-1 worklist and is additionally
-/// pinned byte-identical to a sequential solve — the campaign-wide
-/// threaded ≡ sequential differential.
+/// `configs`, both directions.
 fn crosscheck_analysis<'p, P>(
     icfg: &ProgramIcfg<'p>,
     problem: &P,
@@ -441,33 +402,14 @@ fn crosscheck_analysis<'p, P>(
     configs: &[Configuration],
     bug: InjectedBug,
     max_mismatches: usize,
-    threads: usize,
 ) -> Vec<Mismatch>
 where
-    P: IfdsProblem<ProgramIcfg<'p>> + Sync,
-    P::Fact: Ord + Hash + Send + Sync,
+    P: IfdsProblem<ProgramIcfg<'p>>,
+    P::Fact: Ord + Hash,
 {
     let ctx = BddConstraintContext::new(table);
     let wrapped = BugWrapper::new(problem, bug);
-    let lifted = LiftedSolution::solve_with(
-        &wrapped,
-        icfg,
-        &ctx,
-        None,
-        ModelMode::OnEdges,
-        spllift_ide::IdeSolverOptions {
-            threads,
-            ..spllift_ide::IdeSolverOptions::default()
-        },
-    );
-    if threads > 1 {
-        let sequential = LiftedSolution::solve(&wrapped, icfg, &ctx, None, ModelMode::OnEdges);
-        assert_eq!(
-            solution_rendering(icfg, &lifted),
-            solution_rendering(icfg, &sequential),
-            "threaded solve (threads = {threads}) diverged from the sequential solve"
-        );
-    }
+    let lifted = LiftedSolution::solve(&wrapped, icfg, &ctx, None, ModelMode::OnEdges);
     let lifted_icfg = LiftedIcfg::new(icfg);
     let mut out = Vec::new();
     check_shard(
@@ -493,17 +435,15 @@ where
 /// are pointer-equal nodes — and [`Mismatch::config`] is the empty
 /// configuration.
 ///
-/// With `threads > 1` the Datalog evaluation additionally runs sharded
-/// (`jobs = threads`) and its relation dump must be byte-identical to
-/// the sequential evaluation's — the engine's own jobs-invariance
-/// differential, mirroring the threaded ≡ sequential pin on the IDE
-/// side.
+/// The Datalog evaluation also runs sharded (`jobs =`
+/// [`DATALOG_SHARDED_JOBS`]) and its relation dump must be
+/// byte-identical to the sequential evaluation's — the engine's own
+/// jobs-invariance differential, pinned on every seed and corpus entry.
 fn crosscheck_datalog(
     icfg: &ProgramIcfg<'_>,
     table: &FeatureTable,
     bug: InjectedBug,
     cap: usize,
-    threads: usize,
 ) -> Vec<Mismatch> {
     let ctx = BddConstraintContext::new(table);
     let problem = ReachingDefs::new();
@@ -514,14 +454,12 @@ fn crosscheck_datalog(
             .expect("datalog evaluation failed (the fuzz campaign arms no budget)")
     };
     let dl = solve(1);
-    if threads > 1 {
-        let sharded = solve(threads);
-        assert_eq!(
-            DumpDoc::from_solution(&dl, &ctx, table).render(),
-            DumpDoc::from_solution(&sharded, &ctx, table).render(),
-            "sharded datalog evaluation (jobs = {threads}) diverged from the sequential one"
-        );
-    }
+    let sharded = solve(DATALOG_SHARDED_JOBS);
+    assert_eq!(
+        DumpDoc::from_solution(&dl, &ctx, table).render(),
+        DumpDoc::from_solution(&sharded, &ctx, table).render(),
+        "sharded datalog evaluation (jobs = {DATALOG_SHARDED_JOBS}) diverged from the sequential one"
+    );
     // Statements in ICFG order, facts in `Ord` order with shared facts
     // before Datalog-only ones — the same deterministic-output contract
     // as `check_shard`.
@@ -721,7 +659,6 @@ fn crosscheck_all<'p>(
     seed: u64,
     bug: InjectedBug,
     cap: usize,
-    threads: usize,
 ) -> Vec<AnalysisVerdict> {
     // Typestate tracks a class that classless random programs never
     // allocate — the protocol lattice stays empty, but the full lifted
@@ -738,52 +675,27 @@ fn crosscheck_all<'p>(
                 configs,
                 bug,
                 cap,
-                threads,
             ),
         },
         AnalysisVerdict {
             analysis: ANALYSES[1],
-            mismatches: crosscheck_analysis(
-                icfg,
-                &PossibleTypes::new(),
-                table,
-                configs,
-                bug,
-                cap,
-                threads,
-            ),
+            mismatches: crosscheck_analysis(icfg, &PossibleTypes::new(), table, configs, bug, cap),
         },
         AnalysisVerdict {
             analysis: ANALYSES[2],
-            mismatches: crosscheck_analysis(
-                icfg,
-                &ReachingDefs::new(),
-                table,
-                configs,
-                bug,
-                cap,
-                threads,
-            ),
+            mismatches: crosscheck_analysis(icfg, &ReachingDefs::new(), table, configs, bug, cap),
         },
         AnalysisVerdict {
             analysis: ANALYSES[3],
-            mismatches: crosscheck_analysis(
-                icfg,
-                &UninitVars::new(),
-                table,
-                configs,
-                bug,
-                cap,
-                threads,
-            ),
+            mismatches: crosscheck_analysis(icfg, &UninitVars::new(), table, configs, bug, cap),
         },
         AnalysisVerdict {
             analysis: ANALYSES[4],
-            mismatches: crosscheck_analysis(icfg, &typestate, table, configs, bug, cap, threads),
+            mismatches: crosscheck_analysis(icfg, &typestate, table, configs, bug, cap),
         },
         AnalysisVerdict {
             analysis: ANALYSES[5],
-            mismatches: crosscheck_datalog(icfg, table, bug, cap, threads),
+            mismatches: crosscheck_datalog(icfg, table, bug, cap),
         },
         AnalysisVerdict {
             analysis: ANALYSES[6],
@@ -873,20 +785,10 @@ pub fn check_program(
     seed: u64,
     bug: InjectedBug,
     max_mismatches: usize,
-    threads: usize,
 ) -> (Vec<AnalysisVerdict>, Vec<UnpredictedEvent>) {
     let configs: Vec<Configuration> = all_configurations(features).collect();
     let icfg = ProgramIcfg::new(program);
-    let analyses = crosscheck_all(
-        &icfg,
-        table,
-        features,
-        &configs,
-        seed,
-        bug,
-        max_mismatches,
-        threads,
-    );
+    let analyses = crosscheck_all(&icfg, table, features, &configs, seed, bug, max_mismatches);
     let unpredicted = interp_soundness(program, table, &configs, bug);
     (analyses, unpredicted)
 }
@@ -901,7 +803,6 @@ fn check_seed(seed: u64, opts: &FuzzOptions) -> SeedVerdict {
         seed,
         opts.bug,
         opts.max_mismatches,
-        opts.threads,
     );
     SeedVerdict {
         seed,
@@ -934,9 +835,8 @@ pub fn failure_persists(
             .any(|u| u.analysis == analysis);
     }
     let icfg = ProgramIcfg::new(program);
-    // One mismatch suffices for the verdict — the oracle must be cheap,
-    // so the reducer always re-checks on the sequential solver.
-    let verdicts = crosscheck_all(&icfg, table, features, &configs, seed, bug, 1, 1);
+    // One mismatch suffices for the verdict — the oracle must be cheap.
+    let verdicts = crosscheck_all(&icfg, table, features, &configs, seed, bug, 1);
     verdicts
         .iter()
         .any(|v| v.analysis == analysis && !v.mismatches.is_empty())
@@ -1096,25 +996,6 @@ mod tests {
             failure.analysis,
             failure.dynamic,
         ));
-    }
-
-    #[test]
-    fn threaded_campaign_matches_sequential_report() {
-        // The `--threads` differential: with threads > 1 every seed's
-        // lifted solve runs on the parallel worklist (and is internally
-        // pinned against the sequential solve); the rendered report
-        // must come out byte-identical to a pure sequential campaign.
-        let sequential = fuzz_campaign(&FuzzOptions {
-            jobs: 1,
-            ..quick(6, InjectedBug::None, false)
-        });
-        assert!(sequential.ok(), "{}", sequential.render());
-        let threaded = fuzz_campaign(&FuzzOptions {
-            jobs: 1,
-            threads: 4,
-            ..quick(6, InjectedBug::None, false)
-        });
-        assert_eq!(threaded.render(), sequential.render());
     }
 
     #[test]

@@ -31,9 +31,7 @@ pub mod parallel;
 pub use a1::A1Run;
 pub use a2::{solve_a2, A2Problem};
 pub use chaos::{ChaosWrapper, FaultKind, FaultPlan, PANIC_IN_FLOW_MESSAGE};
-pub use crosscheck::{
-    crosscheck, crosscheck_with, crosscheck_with_options, Mismatch, DEFAULT_MAX_MISMATCHES,
-};
+pub use crosscheck::{crosscheck, crosscheck_with, Mismatch, DEFAULT_MAX_MISMATCHES};
 pub use fuzz::{
     check_program, failure_persists, fuzz_campaign, subject_for_seed, AnalysisVerdict, BugWrapper,
     FailureReport, FuzzOptions, FuzzReport, InjectedBug, SeedVerdict, UnpredictedEvent, ANALYSES,

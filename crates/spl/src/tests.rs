@@ -468,8 +468,8 @@ mod perf_invariance {
         problem: &P,
     ) -> (u64, u64)
     where
-        P: for<'a> IfdsProblem<spllift_ir::ProgramIcfg<'a>, Fact = D> + Sync,
-        D: Clone + Eq + std::hash::Hash + Ord + std::fmt::Debug + Send + Sync,
+        P: for<'a> IfdsProblem<spllift_ir::ProgramIcfg<'a>, Fact = D>,
+        D: Clone + Eq + std::hash::Hash + Ord + std::fmt::Debug,
     {
         let icfg = ProgramIcfg::new(program);
         let ctx = BddConstraintContext::new(table);

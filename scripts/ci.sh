@@ -43,39 +43,36 @@ for subject in gen:MM08 gen:GPL; do
     grep -q "SPLLIFT and Datalog agree" "$SMOKE_DL1"
 done
 
-echo "== solver bench smoke (emit + validate, threads 1,2) =="
+echo "== solver bench smoke (emit + validate) =="
 # Emits a fresh benchmark document (schema `spllift-bench-solver/v4`)
 # on the small subjects — to a scratch path, never over the committed
 # baseline — and schema-validates it, so the emitter, the parser, and
-# the measured hot path all stay wired. `--threads 1,2` exercises the
-# threads dimension: the validator rejects the document unless every
-# entry's results digest is identical across thread counts, so this
-# smoke also re-proves solver determinism under the parallel phase-1
-# worklist. The committed baseline is refreshed manually with the
-# default arguments instead (see EXPERIMENTS.md §BENCH).
+# the measured hot path all stay wired. The committed baseline is
+# refreshed manually with the default arguments instead (see
+# EXPERIMENTS.md §BENCH).
 SMOKE_BENCH="$(mktemp -t solver-bench-smoke.XXXXXX.json)"
 trap 'rm -f "$SMOKE_BENCH" "$SMOKE_DL1" "$SMOKE_DL2"' EXIT
 ./target/release/solver_bench --samples 1 --subjects fig1,chat,MM08 \
-    --threads 1,2 --out "$SMOKE_BENCH"
+    --out "$SMOKE_BENCH"
 ./target/release/solver_bench --validate "$SMOKE_BENCH"
 
 echo "== committed solver baseline (validate + regression gate) =="
 # The committed baseline must always be a valid v4 document...
 ./target/release/solver_bench --validate BENCH_solver.json
 # ...and the regression gate must actually run against it. Smoke mode:
-# re-measure a small sub-matrix (restricting --subjects/--threads turns
-# baseline cells we skip into non-failures), one sample, and a loose
+# re-measure a small sub-matrix (restricting --subjects turns baseline
+# cells we skip into non-failures), three samples, and a loose
 # tolerance — CI machines are noisy and 1-sample minima are not; the
 # full-matrix gate (`solver_bench --check BENCH_solver.json`) is the
 # pre-baseline-refresh workflow, not a CI step.
 ./target/release/solver_bench --check BENCH_solver.json \
-    --subjects fig1,chat,MM08 --threads 1 --samples 3 --tolerance 3.0
+    --subjects fig1,chat,MM08 --samples 3 --tolerance 3.0
 
 echo "== regression gate negative test (injected slowdown must fail) =="
 # A gate that cannot fail is decoration. Stall one cell far past any
 # plausible tolerance and require the exit code to flip.
 if ./target/release/solver_bench --check BENCH_solver.json \
-    --subjects fig1 --threads 1 --samples 1 --tolerance 3.0 \
+    --subjects fig1 --samples 1 --tolerance 3.0 \
     --inject-slow fig1:Taint:2000 2>/dev/null; then
     echo "ci: regression gate FAILED to catch an injected 2s slowdown" >&2
     exit 1

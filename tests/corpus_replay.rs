@@ -46,11 +46,10 @@ fn corpus_is_present_and_replays_clean() {
             .check()
             .unwrap_or_else(|e| panic!("{}: ill-formed IR: {e:?}", path.display()));
         let features: Vec<FeatureId> = table.iter().map(|(f, _)| f).collect();
-        // `threads: 2` makes every corpus replay also pin the threaded
-        // solve byte-identical to the sequential one. Repro files carry
-        // no campaign seed; 0 seeds the lattice-point stream.
+        // Repro files carry no campaign seed; 0 seeds the
+        // lattice-point stream.
         let (verdicts, unpredicted) =
-            check_program(&program, &table, &features, 0, InjectedBug::None, 100, 2);
+            check_program(&program, &table, &features, 0, InjectedBug::None, 100);
         for v in &verdicts {
             assert!(
                 v.mismatches.is_empty(),

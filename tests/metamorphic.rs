@@ -54,8 +54,8 @@ fn assert_pinned_equals_a1<D, P>(
     config: &Configuration,
     label: &str,
 ) where
-    D: Clone + Eq + Hash + Debug + Send + Sync,
-    P: for<'a> IfdsProblem<ProgramIcfg<'a>, Fact = D> + Sync,
+    D: Clone + Eq + Hash + Debug,
+    P: for<'a> IfdsProblem<ProgramIcfg<'a>, Fact = D>,
 {
     let icfg = ProgramIcfg::new(program);
     let ctx = BddConstraintContext::new(table);
@@ -202,8 +202,8 @@ fn assert_strengthening_restricts<D, P>(
     strong: &FeatureExpr,
     label: &str,
 ) where
-    D: Clone + Eq + Hash + Debug + Send + Sync,
-    P: for<'a> IfdsProblem<ProgramIcfg<'a>, Fact = D> + Sync,
+    D: Clone + Eq + Hash + Debug,
+    P: for<'a> IfdsProblem<ProgramIcfg<'a>, Fact = D>,
 {
     let icfg = ProgramIcfg::new(program);
     let ctx = BddConstraintContext::new(table);

@@ -74,3 +74,34 @@ fn eof_without_shutdown_exits_cleanly() {
     assert!(ok);
     assert!(stdout.starts_with("{\"type\":\"ok\""), "{stdout}");
 }
+
+#[test]
+fn legacy_threads_field_is_accepted_and_ignored() {
+    // The solver is sequential; `analyze` still accepts the `threads`
+    // field (the protocol only changes additively) and answers with the
+    // same bytes as without it. Each variant runs in a fresh server, so
+    // both solves are cold.
+    let script = |threads: &str| {
+        format!(
+            concat!(
+                "{{\"type\":\"load\",\"session\":\"s\",\"path\":\"tests/serve/subject.repro\"}}\n",
+                "{{\"type\":\"analyze\",\"session\":\"s\",\"analysis\":\"reaching-defs\"{}}}\n",
+                "{{\"type\":\"shutdown\"}}\n",
+            ),
+            threads
+        )
+    };
+    let (plain, ok) = serve("1", &script(""));
+    assert!(ok);
+    assert!(plain.contains("\"outcome\":\"complete\""), "{plain}");
+    let (with_threads, ok) = serve("1", &script(",\"threads\":4"));
+    assert!(ok);
+    assert_eq!(with_threads, plain);
+    // The field stays validated: zero is still a structured error.
+    let (zero, ok) = serve("1", &script(",\"threads\":0"));
+    assert!(ok);
+    let lines: Vec<&str> = zero.lines().collect();
+    assert_eq!(lines.len(), 3, "{zero}");
+    assert!(lines[1].starts_with("{\"type\":\"error\""), "{}", lines[1]);
+    assert!(lines[1].contains("`threads` must be >= 1"), "{}", lines[1]);
+}
